@@ -16,14 +16,9 @@
 //	stmbench [-workers 2,4,8] [-ops 5000] [-workloads counter,zipf]
 //	         [-keys 256] [-zipf-s 1.2] [-seed 1] [-json-out FILE] [-quiet]
 //	         [-cpuprofile FILE] [-decisions-out FILE] [-trace-chrome FILE]
-//	         [-linear-predict]
 //
-// BFGTS cells additionally report the begin-time probe histograms: how
-// many candidates each prediction visited (probe_len), how many Bloofi
-// directory nodes it touched (probe_nodes), and how many transactions
-// were running (probe_running). -linear-predict disables the Bloofi
-// signature directory so predictions fall back to the linear scan over
-// all worker slots — the A/B lever for the directory's probe savings.
+// BFGTS cells additionally report the begin-time scan histogram: how many
+// running transactions each prediction visited (probe_len).
 //
 // -cpuprofile writes a pprof CPU profile of the sweep; every worker
 // goroutine carries pprof labels (manager, workload), so `go tool pprof
@@ -74,7 +69,6 @@ func main() {
 	cpuProfile := flag.String("cpuprofile", "", "write a pprof CPU profile of the sweep (labeled per manager/workload)")
 	decisionsOut := flag.String("decisions-out", "", "write the live decision traces as schema-v2 JSON to this file")
 	traceChrome := flag.String("trace-chrome", "", "write the live decision traces as Chrome trace_event JSON (Perfetto) to this file")
-	linearPredict := flag.Bool("linear-predict", false, "disable the Bloofi signature directory in BFGTS (linear begin-time scans over all worker slots)")
 	flag.Parse()
 
 	workerCounts, err := parseWorkers(*workersCSV)
@@ -138,7 +132,7 @@ func main() {
 		}
 		for _, kind := range schedulers {
 			for _, w := range workerCounts {
-				res, set := runCell(wl, kind, w, *ops, *keys, *zipfS, *seed, record, *linearPredict)
+				res, set := runCell(wl, kind, w, *ops, *keys, *zipfS, *seed, record)
 				addRow(rep, kind, w, res)
 				if !*quiet {
 					printRow(kind, w, res)
@@ -239,11 +233,9 @@ type cellResult struct {
 	elapsed         time.Duration
 	lat             stats.Histogram // per-transaction wall latency, ns
 
-	// Begin-time probe histograms, BFGTS cells only (nil otherwise).
-	// probeLen counts candidates visited per prediction; probeNodes and
-	// probeRun (directory mode only) count Bloofi nodes touched and
-	// transactions running at probe time.
-	probeLen, probeNodes, probeRun *stats.Histogram
+	// probeLen counts the running transactions each begin-time prediction
+	// visited; BFGTS cells only (nil otherwise).
+	probeLen *stats.Histogram
 }
 
 func (r *cellResult) abortRate() float64 {
@@ -280,12 +272,6 @@ func addRow(rep *harness.Report, kind stm.SchedulerKind, workers int, r cellResu
 		rep.Values[key+"probe_len_mean"] = r.probeLen.Mean()
 		rep.Values[key+"probe_len_p99"] = float64(r.probeLen.Percentile(99))
 	}
-	if r.probeNodes != nil && r.probeNodes.N() > 0 {
-		rep.Values[key+"probe_nodes_mean"] = r.probeNodes.Mean()
-	}
-	if r.probeRun != nil && r.probeRun.N() > 0 {
-		rep.Values[key+"probe_running_mean"] = r.probeRun.Mean()
-	}
 }
 
 func printRow(kind stm.SchedulerKind, workers int, r cellResult) {
@@ -293,14 +279,7 @@ func printRow(kind stm.SchedulerKind, workers int, r cellResult) {
 		kind, workers, r.commits, r.aborts, 100*r.abortRate(), r.throughput(),
 		r.lat.Mean()/1e3, float64(r.lat.Percentile(50))/1e3, float64(r.lat.Percentile(99))/1e3)
 	if r.probeLen != nil && r.probeLen.N() > 0 {
-		fmt.Printf("%-10s probe_len mean=%.2f p99=%d", "", r.probeLen.Mean(), r.probeLen.Percentile(99))
-		if r.probeNodes != nil && r.probeNodes.N() > 0 {
-			fmt.Printf("  nodes mean=%.2f", r.probeNodes.Mean())
-		}
-		if r.probeRun != nil && r.probeRun.N() > 0 {
-			fmt.Printf("  running mean=%.2f", r.probeRun.Mean())
-		}
-		fmt.Println()
+		fmt.Printf("%-10s probe_len mean=%.2f p99=%d\n", "", r.probeLen.Mean(), r.probeLen.Percentile(99))
 	}
 }
 
@@ -309,13 +288,12 @@ func printRow(kind stm.SchedulerKind, workers int, r cellResult) {
 // wall latency of every Atomic call in a per-worker histogram. With
 // record set it also attaches a per-worker decision trace and returns
 // the set alongside the measurement.
-func runCell(workload string, kind stm.SchedulerKind, workers, ops, keys int, zipfS float64, seed uint64, record, linearPredict bool) (cellResult, *decision.Set) {
+func runCell(workload string, kind stm.SchedulerKind, workers, ops, keys int, zipfS float64, seed uint64, record bool) (cellResult, *decision.Set) {
 	var set *decision.Set
 	if record {
 		set = decision.NewSet(workers, 0)
 	}
-	sys := stm.NewSystem(stm.Config{Workers: workers, StaticTxs: 1, Scheduler: kind,
-		Decisions: set, LinearPredict: linearPredict})
+	sys := stm.NewSystem(stm.Config{Workers: workers, StaticTxs: 1, Scheduler: kind, Decisions: set})
 
 	// txFor builds the per-worker transaction stream for the workload. The
 	// returned func runs one operation (one Atomic call) per invocation.
@@ -401,8 +379,6 @@ func runCell(workload string, kind stm.SchedulerKind, workers, ops, keys int, zi
 		reg := metrics.New()
 		sys.SnapshotMetrics(reg)
 		res.probeLen = reg.Histogram("stm.predict.probe_len").Stats()
-		res.probeNodes = reg.Histogram("stm.predict.probe_nodes").Stats()
-		res.probeRun = reg.Histogram("stm.predict.probe_running").Stats()
 	}
 	return res, set
 }

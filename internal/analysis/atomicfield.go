@@ -12,7 +12,8 @@ import (
 // the package. Mixed atomic/plain access is the classic lost-update and
 // torn-read bug the race detector only catches when a stress test happens
 // to interleave the two sides; this pins it at compile time across
-// internal/stm, internal/bloofi and internal/sim's ShardBarrier.
+// internal/stm, internal/bloom's AtomicFilter and internal/sim's
+// ShardBarrier.
 //
 // Two rules:
 //

@@ -26,17 +26,17 @@ var gateEntryPoints = map[string][]string{
 	"sim": { // TestEngineDispatchAllocFree / TestShardHotPathAllocFree
 		"At", "After", "AfterArg", "AtHandle", "AfterHandle",
 		"AtArgHandle", "AfterArgHandle", "Step", "push", "pop",
-		"PeekKey", "Publish", "MinOther", "probeShared", "drainInbound",
+		"PeekTime", "Publish", "MinOther", "probeShared", "drainInbound",
 		"processDrained", "waitHorizon", "inboundEmpty",
 	},
 	"bloom": { // TestEq3EstimateAllocFree
 		"EstimateCardinality", "EstimateIntersection",
 		"EstimateIntersectionErrorInto",
 	},
-	"bloofi": { // TestBloofiTreeAllocFree / TestAtomicTreeAllocFree
-		"Insert", "Remove", "Set", "Clear", "Len", "Occupied",
-		"OccupiedBefore", "alloc", "release", "repair", "lock", "unlock",
-		"Reset", "Next", "Nodes", "Candidates", "matchesAny", "hasKey",
+	"bloofi": { // TestBloofiTreeAllocFree
+		"Insert", "Remove", "Set", "Len", "Occupied", "OccupiedBefore",
+		"alloc", "release", "Reset", "Next", "Nodes", "Candidates",
+		"matchesAny", "hasKey",
 	},
 	"stm": { // TestReadOnlyPathAllocFree / TestAbortRetryPathAllocFree / TestCommitPathAllocs / TestPredictPathAllocFree
 		"read", "write", "commit", "reset", "commitFail", "writeSetHas",
@@ -44,8 +44,7 @@ var gateEntryPoints = map[string][]string{
 		"appendWrite", "sortWrites", "commitBookkeeping",
 		"OnBegin", "OnAbort", "OnCommit", "predict", "suspend", "stallOn",
 		"republish", "validate", "backoff", "jitter", "enemyDTx",
-		"decShard", "decNow",
-		"predictDir", "predictLinear", "onRunning", "setRunning",
+		"decShard", "decNow", "setRunning",
 	},
 	"decision": { // TestDecisionHotPathAllocFree / TestDecisionRecordingAllocFreeLive
 		"Add", "SetWait", "Resolve", "SetEnemy", "Shard",

@@ -24,7 +24,7 @@ import (
 //     recycled cell.
 //
 // //bfgts:seqlock-pub <idxField> — a published double-buffer reader (the
-// Bloofi AtomicTree's probe-vs-repair protocol, the STM's sigSlot pairs):
+// STM's sigSlot pairs):
 // the published index named by <idxField> must be loaded exactly once per
 // receiver path (two loads can straddle a writer's flip and mix buffer
 // generations), and a Store to it must flip the loaded value (1-cur),

@@ -59,41 +59,3 @@ func BenchmarkTreeProbe(b *testing.B) {
 		})
 	}
 }
-
-func BenchmarkAtomicTreeSetClear(b *testing.B) {
-	for _, capacity := range benchCapacities {
-		b.Run(fmt.Sprintf("cap%d", capacity), func(b *testing.B) {
-			tr := NewAtomicTree(Config{Capacity: capacity})
-			fillLowOverlap(tr.Set, capacity)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				slot := i % capacity
-				tr.Clear(slot)
-				tr.Insert(slot, uint64(i))
-			}
-		})
-	}
-}
-
-func BenchmarkAtomicTreeProbe(b *testing.B) {
-	for _, capacity := range benchCapacities {
-		b.Run(fmt.Sprintf("cap%d", capacity), func(b *testing.B) {
-			tr := NewAtomicTree(Config{Capacity: capacity})
-			fillLowOverlap(tr.Set, capacity)
-			keys := []uint64{0, 2, 7}
-			b.ReportAllocs()
-			b.RunParallel(func(pb *testing.PB) {
-				probe := NewAtomicProbe(tr)
-				for pb.Next() {
-					probe.Reset(keys)
-					for {
-						if _, ok := probe.Next(); !ok {
-							break
-						}
-					}
-				}
-			})
-		})
-	}
-}

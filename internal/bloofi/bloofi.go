@@ -22,22 +22,13 @@
 // That is what lets the simulator keep its results byte-identical to the
 // linear scan while the host does sub-linear work.
 //
-// Two variants share the geometry:
-//
-//   - Tree is single-goroutine and deterministic (plain bloom.Filter
-//     nodes, pooled in a preallocated arena with a free list). The
-//     simulator uses it; insert, remove-with-repair and probe are
-//     0 allocs/op (//bfgts:allocfree, gated by TestBloofiAllocFree).
-//   - AtomicTree is the live-STM variant: a fully materialized tree of
-//     double-buffered bloom.AtomicFilter pairs. Inserts OR key bits into
-//     both buffers lock-free; remove-with-repair rebuilds the spare
-//     buffer under a per-node spinlock and flips it live, mirroring the
-//     sigSlot idiom in internal/stm; probes are lock-free reads of the
-//     published buffer. Races are benign by construction: a probe racing
-//     a repair may miss a candidate or surface a stale one, and every
-//     consumer re-verifies candidates against the authoritative running
-//     set and confidence table — a wrong answer costs a suboptimal
-//     scheduling decision, never a correctness violation.
+// Tree is single-goroutine and deterministic (plain bloom.Filter nodes,
+// pooled in a preallocated arena with a free list); insert,
+// remove-with-repair and probe are 0 allocs/op (//bfgts:allocfree, gated
+// by TestBloofiTreeAllocFree). Only the simulator uses it: the live STM
+// does one insert and one clear per transaction, the update-heavy regime
+// Bloofi is not built for, and its plain walk of the worker slots was
+// measured faster than a lock-free tree at every worker count tried.
 package bloofi
 
 import "repro/internal/bloom"

@@ -8,8 +8,8 @@ import (
 
 func TestSharedConfClampAndAliasing(t *testing.T) {
 	c := NewSharedConf(8, 4)
-	if c.Dim() != 4 {
-		t.Fatalf("Dim = %d, want 4 (aliased)", c.Dim())
+	if c.dim != 4 {
+		t.Fatalf("dim = %d, want 4 (aliased)", c.dim)
 	}
 	c.Add(1, 2, 0.25)
 	if got := c.Load(1, 2); math.Abs(got-0.25) > 1e-4 {

@@ -207,7 +207,7 @@ func (r *Runner) RunInstrumented(f workload.Factory, m ManagerSpec, rec *trace.R
 			// costs host time, not simulated cycles. It reads every
 			// thread's sets across the whole machine, so it is a global
 			// observer that would force a sharded run back to the
-			// entangled path — when the caller explicitly asked for the
+			// sequential path — when the caller explicitly asked for the
 			// sharded engine, prefer the engine: shard-safe configs then
 			// take the partitioned path and the snapshot carries the
 			// sim.shard.* instruments instead of bloom.est_error.

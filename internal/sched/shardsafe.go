@@ -5,8 +5,8 @@ package sched
 // static transaction of a single shard's threads, and it never draws from
 // the shared Env.Rand (whose draw order depends on the cross-shard
 // interleaving). A manager without the marker still works at any shard
-// count — the simulator falls back to the entangled shared-clock mode,
-// which reproduces the shared Rand's draw order exactly.
+// count — the simulator runs it sequentially, which reproduces the shared
+// Rand's draw order exactly.
 type ShardSafe interface {
 	// ShardSafe is a marker method; implementations are empty.
 	ShardSafe()

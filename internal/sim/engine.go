@@ -25,20 +25,9 @@ type ArgHandle int32
 
 // Engine is a discrete-event scheduler. Events fire in (time, insertion
 // sequence) order, which makes simulations deterministic.
-//
-// An engine normally owns its clock and sequence counter. Sharded
-// simulations (see shard.go) build one engine per shard over a *shared*
-// clock and sequence counter: the union of the shard heaps then behaves
-// exactly like one big heap — pops take the global (time, seq) minimum,
-// pushes stamp globally unique seq values in execution order — which is
-// what makes the sharded run byte-identical to the sequential one.
 type Engine struct {
-	// now and seq point at ownNow/ownSeq for a standalone engine, or at
-	// the shard set's shared clock and push counter for a lane engine.
-	now    *int64
-	seq    *uint64
-	ownNow int64
-	ownSeq uint64
+	now    int64
+	seq    uint64
 	events eventHeap
 
 	// Handler tables. Registered handlers live for the engine's lifetime;
@@ -53,25 +42,10 @@ type Engine struct {
 }
 
 // NewEngine returns an engine at time zero with no pending events.
-func NewEngine() *Engine {
-	e := &Engine{}
-	e.now = &e.ownNow
-	e.seq = &e.ownSeq
-	return e
-}
-
-// NewLaneEngine returns an engine whose clock and push counter live
-// outside it, shared with the other lanes of a sharded simulation. The
-// caller advances nothing directly: Step still moves the clock, but every
-// lane sees the move immediately, so cross-lane scheduling ("wake thread
-// 12 one cycle from now") lands at the right absolute time even when the
-// target lane has not fired an event for a while.
-func NewLaneEngine(clock *int64, seq *uint64) *Engine {
-	return &Engine{now: clock, seq: seq}
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current simulated time in cycles.
-func (e *Engine) Now() int64 { return *e.now }
+func (e *Engine) Now() int64 { return e.now }
 
 // Pending returns the number of scheduled events not yet fired.
 func (e *Engine) Pending() int { return len(e.events.ev) }
@@ -96,21 +70,6 @@ func (e *Engine) PeekTime() int64 {
 		return NoPending
 	}
 	return e.events.ev[0].time
-}
-
-// PeekKey returns the full (time, seq) ordering key of the next pending
-// event, or ok=false when the heap is empty. The sharded driver uses it
-// to pick the globally minimal event across lane heaps: because all lanes
-// share one seq counter, comparing (time, seq) pairs across heaps yields
-// exactly the order a single merged heap would produce.
-//
-//bfgts:allocfree
-func (e *Engine) PeekKey() (t int64, seq uint64, ok bool) {
-	if len(e.events.ev) == 0 {
-		return 0, 0, false
-	}
-	head := &e.events.ev[0]
-	return head.time, head.seq, true
 }
 
 // Register adds a long-lived handler and returns its Handle for AtHandle /
@@ -142,18 +101,18 @@ const (
 //
 //bfgts:allocfree
 func (e *Engine) AtHandle(t int64, h Handle) {
-	if t < *e.now {
+	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
-	*e.seq++
-	e.events.push(event{time: t, seq: *e.seq, h: int32(h), kind: evHandler})
+	e.seq++
+	e.events.push(event{time: t, seq: e.seq, h: int32(h), kind: evHandler})
 }
 
 // AfterHandle schedules a registered handler d cycles from now.
 //
 //bfgts:allocfree
 func (e *Engine) AfterHandle(d int64, h Handle) {
-	e.AtHandle(*e.now+d, h)
+	e.AtHandle(e.now+d, h)
 }
 
 // AtArgHandle schedules a registered argument-taking handler at absolute
@@ -161,11 +120,11 @@ func (e *Engine) AfterHandle(d int64, h Handle) {
 //
 //bfgts:allocfree
 func (e *Engine) AtArgHandle(t int64, h ArgHandle, arg uint64) {
-	if t < *e.now {
+	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
-	*e.seq++
-	e.events.push(event{time: t, seq: *e.seq, h: int32(h), arg: arg, kind: evArgHandler})
+	e.seq++
+	e.events.push(event{time: t, seq: e.seq, h: int32(h), arg: arg, kind: evArgHandler})
 }
 
 // AfterArgHandle schedules a registered argument-taking handler d cycles
@@ -173,7 +132,7 @@ func (e *Engine) AtArgHandle(t int64, h ArgHandle, arg uint64) {
 //
 //bfgts:allocfree
 func (e *Engine) AfterArgHandle(d int64, h ArgHandle, arg uint64) {
-	e.AtArgHandle(*e.now+d, h, arg)
+	e.AtArgHandle(e.now+d, h, arg)
 }
 
 // At schedules fn to run at absolute time t via a recycled one-shot slot.
@@ -182,7 +141,7 @@ func (e *Engine) AfterArgHandle(d int64, h ArgHandle, arg uint64) {
 //
 //bfgts:allocfree
 func (e *Engine) At(t int64, fn func()) {
-	if t < *e.now {
+	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
 	var h int32
@@ -194,15 +153,15 @@ func (e *Engine) At(t int64, fn func()) {
 		e.oneShot = append(e.oneShot, fn)
 		h = int32(len(e.oneShot) - 1)
 	}
-	*e.seq++
-	e.events.push(event{time: t, seq: *e.seq, h: h, kind: evOneShot})
+	e.seq++
+	e.events.push(event{time: t, seq: e.seq, h: h, kind: evOneShot})
 }
 
 // After schedules fn to run d cycles from now. Negative delays panic.
 //
 //bfgts:allocfree
 func (e *Engine) After(d int64, fn func()) {
-	e.At(*e.now+d, fn)
+	e.At(e.now+d, fn)
 }
 
 // AfterArg schedules fn(arg) to run d cycles from now, carrying the
@@ -211,8 +170,8 @@ func (e *Engine) After(d int64, fn func()) {
 //
 //bfgts:allocfree
 func (e *Engine) AfterArg(d int64, fn func(uint64), arg uint64) {
-	t := *e.now + d
-	if t < *e.now {
+	t := e.now + d
+	if t < e.now {
 		panic("sim: event scheduled in the past")
 	}
 	var h int32
@@ -224,8 +183,8 @@ func (e *Engine) AfterArg(d int64, fn func(uint64), arg uint64) {
 		e.oneShotArg = append(e.oneShotArg, fn)
 		h = int32(len(e.oneShotArg) - 1)
 	}
-	*e.seq++
-	e.events.push(event{time: t, seq: *e.seq, h: h, arg: arg, kind: evOneShotArg})
+	e.seq++
+	e.events.push(event{time: t, seq: e.seq, h: h, arg: arg, kind: evOneShotArg})
 }
 
 // Step fires the next event, if any, advancing time to it. It reports
@@ -237,7 +196,7 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	ev := e.events.pop()
-	*e.now = ev.time
+	e.now = ev.time
 	switch ev.kind {
 	case evHandler:
 		e.handlers[ev.h]()

@@ -46,6 +46,7 @@ type Thread struct {
 
 	dispatchedAt  int64 // when it last got the core (for quantum)
 	pendingKernel int64 // kernel cycles to charge at next dispatch (wake cost)
+	wakePending   bool  // woken before it blocked; the next ThreadBlock returns at once
 }
 
 // Charge adds d cycles of category c to the thread's account.
@@ -161,18 +162,32 @@ func (m *Machine) ThreadYield(t *Thread) {
 }
 
 // ThreadBlock models a futex wait: the running thread leaves the core and
-// will not run again until ThreadWake.
+// will not run again until ThreadWake. A wake that arrived before the
+// block is consumed here instead: the thread is made ready again at once,
+// as a futex wait returns when the wake was already posted.
 func (m *Machine) ThreadBlock(t *Thread) {
 	t.Charge(CatKernel, m.Costs.Block)
 	t.State = ThBlocked
 	m.release(t)
+	if t.wakePending {
+		t.wakePending = false
+		m.ThreadWake(t)
+	}
 }
 
-// ThreadWake makes a blocked thread ready. Waking a thread that is not
-// blocked is a no-op (spurious wakes are allowed). The futex-wake cost is
-// charged to the woken thread at its next dispatch.
+// ThreadWake makes a blocked thread ready. A wake on a thread that is
+// still running or ready is remembered and consumed by its next
+// ThreadBlock: a manager may enqueue a thread and hand it the wake before
+// the thread has finished paying its way into the block, and dropping
+// that wake would park the thread forever. Waking an exited thread is a
+// no-op. The futex-wake cost is charged to the woken thread at its next
+// dispatch.
 func (m *Machine) ThreadWake(t *Thread) {
-	if t.State != ThBlocked {
+	switch t.State {
+	case ThDone:
+		return
+	case ThRunning, ThReady:
+		t.wakePending = true
 		return
 	}
 	t.State = ThReady

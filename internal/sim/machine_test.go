@@ -104,17 +104,39 @@ func TestMachineBlockWake(t *testing.T) {
 	}
 }
 
-func TestMachineWakeNonBlockedIsNoop(t *testing.T) {
+// TestMachineWakeBeforeBlock pins the futex semantics of ThreadWake: a
+// wake delivered while the thread is still running is remembered, so the
+// thread's next ThreadBlock makes it ready again instead of parking it
+// forever; a remembered wake on a thread that exits instead is harmless.
+func TestMachineWakeBeforeBlock(t *testing.T) {
 	e, m, r := newHarness(1)
 	a := m.AddThread(0)
-	r.steps[a.ID] = []func(*Thread){func(t *Thread) {
-		m.ThreadWake(t) // running, must be ignored
+	b := m.AddThread(0)
+	var trace []string
+	r.steps[a.ID] = []func(*Thread){
+		func(t *Thread) {
+			trace = append(trace, "a-woken-while-running")
+			m.ThreadWake(t)
+			m.ThreadBlock(t)
+		},
+		func(t *Thread) { trace = append(trace, "a-resumed"); m.ThreadExit(t) },
+	}
+	r.steps[b.ID] = []func(*Thread){func(t *Thread) {
+		m.ThreadWake(t) // never blocks afterwards
+		trace = append(trace, "b-exits")
 		m.ThreadExit(t)
 	}}
 	m.Start()
 	e.Run(nil)
-	if a.State != ThDone {
-		t.Fatal("thread did not exit cleanly")
+	want := []string{"a-woken-while-running", "b-exits", "a-resumed"}
+	if len(trace) != len(want) || trace[0] != want[0] || trace[1] != want[1] || trace[2] != want[2] {
+		t.Fatalf("trace = %v, want %v", trace, want)
+	}
+	if a.State != ThDone || b.State != ThDone || m.LiveThreads() != 0 {
+		t.Fatalf("threads did not all exit: a=%v b=%v live=%d", a.State, b.State, m.LiveThreads())
+	}
+	if got, want := a.Acct[CatKernel], int64(10+7+10+7); got != want {
+		t.Fatalf("a kernel cycles = %d, want %d (switch-in, block, switch-in, wake)", got, want)
 	}
 }
 

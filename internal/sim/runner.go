@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 
@@ -93,20 +94,14 @@ type RunConfig struct {
 	// the flag exists for cross-checking and bisection.
 	NoBloofi bool
 
-	// Shards splits the single simulation into per-shard engine/machine
-	// lanes, each owning a contiguous core range, executed under the
-	// conservative-PDES protocol in shard.go. Output is byte-identical to
+	// Shards splits the single simulation into per-shard lanes, each
+	// owning a contiguous core range and its own engine, machine and
+	// conflict domain, run concurrently under the conservative-PDES
+	// protocol in shard.go. That needs a workload implementing
+	// workload.Sharder and a sched.ShardSafe manager; any other
+	// configuration runs sequentially. Output is byte-identical to
 	// Shards == 1 at any shard count (pinned by the sharded differential
 	// tests and the check.sh cmp gate). Zero or one means unsharded.
-	//
-	// Two execution modes exist behind this knob (shard.go): entangled
-	// lanes (any workload/manager; lanes share one clock and sequence
-	// source and a single driver executes the global-minimum event, so the
-	// run is identical to the single-heap run by construction) and fully
-	// partitioned lanes (workloads implementing workload.Sharder under a
-	// sched.ShardSafe manager; lanes free-run concurrently under a
-	// lookahead barrier, exchanging timestamped cross-shard probe
-	// messages).
 	Shards int
 
 	// ShardLookahead bounds the simulated-clock skew between partitioned
@@ -208,9 +203,9 @@ type threadCtx struct {
 	prog workload.Program
 
 	// lane is the engine/machine shard this thread runs on; dom is the
-	// conflict-detection/scheduling domain it belongs to. Unsharded and
-	// entangled runs have a single domain shared by every lane;
-	// partitioned runs pair lane i with domain i.
+	// conflict-detection/scheduling domain it belongs to. Sequential runs
+	// have one lane and one domain; partitioned runs pair lane i with
+	// domain i.
 	lane *laneState
 	dom  *domainState
 
@@ -381,17 +376,12 @@ func (s *ctxScratch) putExactSet(set *bloom.ExactSet) {
 }
 
 // runMode selects how the lanes execute (see shard.go for the sharded
-// drivers and the protocol description).
+// lane loop and the protocol description).
 type runMode int
 
 const (
 	// modeSeq is the classic single-lane, single-domain run.
 	modeSeq runMode = iota
-	// modeEntangled runs per-shard engines and machines over one shared
-	// clock, sequence source and domain; a single driver executes the
-	// globally minimal (time, seq) event across lane heaps, which is
-	// byte-identical to the single-heap run by construction.
-	modeEntangled
 	// modePartitioned runs per-shard engines, machines AND domains (line
 	// directory, manager, waiter queues, accumulators) on concurrent
 	// goroutines under the conservative lookahead barrier.
@@ -420,15 +410,15 @@ type laneState struct {
 	dom *domainState // the domain this lane's threads belong to
 
 	// shard is the partitioned-mode coupling (barrier slot, probe rings,
-	// message counters); nil in sequential and entangled runs.
+	// message counters); nil in sequential runs.
 	shard *laneShard
 }
 
 // domainState is one conflict-detection and scheduling domain: the line
 // directory, the contention manager and its CPU table, the waiter queues,
-// and every accumulator that feeds the Result. Unsharded and entangled
-// runs have exactly one domain; partitioned runs give each lane its own
-// and merge them deterministically afterwards.
+// and every accumulator that feeds the Result. Sequential runs have
+// exactly one domain; partitioned runs give each lane its own and merge
+// them deterministically afterwards.
 type domainState struct {
 	sys *tm.System
 	mgr sched.Manager
@@ -446,8 +436,8 @@ type domainState struct {
 
 	// beginCalls counts OnBegin consultations across the domain's threads
 	// in engine order — the coordinate system of RunConfig.FlipBegin and
-	// of every begin record's BeginIndex (both only used in single-domain
-	// modes, where it matches the historical global counter exactly).
+	// of every begin record's BeginIndex (both only used in sequential
+	// runs, where it matches the historical global counter exactly).
 	beginCalls int64
 
 	// Prediction-quality accounting and the time-series sampler (only
@@ -490,20 +480,9 @@ type Runner struct {
 	cfg  RunConfig
 	mode runMode
 
-	// clock and seqSrc back the shared (time, seq) coordinate system of
-	// entangled lanes (engine.go); unused pointers otherwise.
-	clock  int64
-	seqSrc uint64
-
 	lanes []*laneState
 	doms  []*domainState
 	ctxs  []*threadCtx
-
-	// active is the lane currently executing an event. Sequential and
-	// entangled drivers maintain it (exactly one event runs at a time);
-	// partitioned lanes never read it — their domains are lane-local, so
-	// every hook resolves its time source through the victim's own lane.
-	active *laneState
 
 	noBatch bool // mirrors cfg.NoBatch
 
@@ -536,25 +515,21 @@ func NewRunner(cfg RunConfig) *Runner {
 		cfg:     cfg,
 		noBatch: cfg.NoBatch,
 	}
-	r.mode = r.chooseMode()
+	if cfg.Shards > 1 && r.partitionable() {
+		r.mode = modePartitioned
+	}
 
-	// Lanes: per-shard engines and machines over contiguous core ranges.
-	// Sequential keeps one self-clocked engine; entangled lanes share the
-	// runner's clock and sequence source; partitioned lanes are fully
-	// self-clocked (their skew is bounded by the shard barrier instead).
+	// Lanes: per-shard engines and machines over contiguous core ranges,
+	// each self-clocked (partitioned lanes' skew is bounded by the shard
+	// barrier).
 	nLanes := 1
-	if r.mode != modeSeq {
+	if r.mode == modePartitioned {
 		nLanes = cfg.Shards
 	}
 	for i := 0; i < nLanes; i++ {
 		lo := i * cfg.Cores / nLanes
 		hi := (i + 1) * cfg.Cores / nLanes
-		var eng *Engine
-		if r.mode == modeEntangled {
-			eng = NewLaneEngine(&r.clock, &r.seqSrc)
-		} else {
-			eng = NewEngine()
-		}
+		eng := NewEngine()
 		r.lanes = append(r.lanes, &laneState{
 			idx:      i,
 			coreBase: lo,
@@ -563,12 +538,8 @@ func NewRunner(cfg RunConfig) *Runner {
 		})
 	}
 
-	// Domains: one shared domain unless partitioned.
-	nDoms := 1
-	if r.mode == modePartitioned {
-		nDoms = nLanes
-	}
-	for i := 0; i < nDoms; i++ {
+	// Domains: one per lane.
+	for i := 0; i < nLanes; i++ {
 		dom := &domainState{
 			sys:           tm.NewSystem(nStatic),
 			cpuSlot:       make([]int, cfg.Cores),
@@ -583,7 +554,7 @@ func NewRunner(cfg RunConfig) *Runner {
 			dom.cpuSlot[j] = core.NoTx
 		}
 		if cfg.Metrics != nil {
-			if nDoms == 1 {
+			if nLanes == 1 {
 				dom.reg = cfg.Metrics
 			} else {
 				// Partitioned domains record into private registries,
@@ -611,10 +582,7 @@ func NewRunner(cfg RunConfig) *Runner {
 		r.doms = append(r.doms, dom)
 	}
 	for _, ln := range r.lanes {
-		ln.dom = r.doms[0]
-		if nDoms > 1 {
-			ln.dom = r.doms[ln.idx]
-		}
+		ln.dom = r.doms[ln.idx]
 	}
 
 	base := workload.NewRNG(cfg.Seed)
@@ -649,20 +617,6 @@ func NewRunner(cfg RunConfig) *Runner {
 		r.setupShards()
 	}
 	return r
-}
-
-// chooseMode picks the execution mode for the configured shard count:
-// unsharded, entangled (the universal byte-identical mode), or partitioned
-// (the concurrent mode, when the workload and manager support it).
-func (r *Runner) chooseMode() runMode {
-	cfg := &r.cfg
-	if cfg.Shards <= 1 {
-		return modeSeq
-	}
-	if !r.partitionable() {
-		return modeEntangled
-	}
-	return modePartitioned
 }
 
 // laneOfCore maps an absolute CPU id to the lane owning it.
@@ -835,39 +789,17 @@ func (r *Runner) decOnCommit(ctx *threadCtx, tx *tm.Tx) {
 func (r *Runner) cpuOf(ctx *threadCtx) int { return ctx.lane.coreBase + ctx.th.Core }
 
 // nowFor is the current logical simulation time as observed by code acting
-// on ctx: the executing lane's engine clock, or — underneath a
-// horizon-batched access — that access's completion time, which the engine
-// has not caught up to yet. In sequential and entangled runs exactly one
-// lane executes at a time (Runner.active); in partitioned runs every hook
-// that lands on ctx runs on ctx's own lane goroutine, so the executing
-// lane is ctx.lane.
+// on ctx: its lane's engine clock, or — underneath a horizon-batched
+// access — that access's completion time, which the engine has not caught
+// up to yet. Every hook that lands on ctx runs on ctx's own lane (the
+// single lane of a sequential run, or ctx's lane goroutine when
+// partitioned), so the executing lane is ctx.lane.
 func (r *Runner) nowFor(ctx *threadCtx) int64 {
-	ln := r.active
-	if r.mode == modePartitioned {
-		ln = ctx.lane
-	}
+	ln := ctx.lane
 	if ln.batchNow > 0 {
 		return ln.batchNow
 	}
 	return ln.eng.Now()
-}
-
-// horizon is the conservative lookahead bound for batched execution on a
-// lane: the earliest pending event that could interleave. With one lane
-// (or fully partitioned lanes, whose heaps are causally independent) that
-// is the lane's own PeekTime; entangled lanes share one logical heap, so
-// the horizon is the minimum over all of them.
-func (r *Runner) horizon(ln *laneState) int64 {
-	if r.mode != modeEntangled {
-		return ln.eng.PeekTime()
-	}
-	min := int64(NoPending)
-	for _, l := range r.lanes {
-		if t := l.eng.PeekTime(); t < min {
-			min = t
-		}
-	}
-	return min
 }
 
 // setSlot updates the CPU-table slot for a core and notifies the manager.
@@ -954,7 +886,7 @@ func (r *Runner) runNonTx(ctx *threadCtx) {
 		t := local + chunk
 		ctx.pendingPre -= chunk
 		ctx.th.Charge(CatNonTx, chunk)
-		if t >= r.horizon(ctx.lane) || ctx.lane.mac.ShouldPreemptAt(ctx.th, t) {
+		if t >= ctx.lane.eng.PeekTime() || ctx.lane.mac.ShouldPreemptAt(ctx.th, t) {
 			// Horizon or quantum boundary: re-enter the engine at this
 			// chunk's completion time and take the per-event path there
 			// (contNonTxStep redoes the preemption check at engine time
@@ -1250,7 +1182,7 @@ func (r *Runner) stepAccess(ctx *threadCtx) {
 		// The horizon is re-read each iteration: it is O(1) per lane and
 		// guards the (impossible today, cheap to insure against) case of
 		// an in-batch call scheduling a new earlier event.
-		if t >= r.horizon(ctx.lane) {
+		if t >= ctx.lane.eng.PeekTime() {
 			// This access's completion would not precede the next event:
 			// schedule it as a real event so anything landing at the same
 			// instant keeps its (time, seq) precedence, and let
@@ -1419,9 +1351,8 @@ func (r *Runner) decSettleStall(ctx *threadCtx, o decision.Outcome) {
 }
 
 // onTxReleased wakes every thread stalled behind tx (line stalls retry the
-// access, begin spins retry the begin). Waiters are woken on their own
-// lane's engine; entangled lanes share the clock, so the +1 lands at the
-// same absolute instant regardless of which lane the committer ran on.
+// access, begin spins retry the begin). Waiters share the committer's
+// domain and therefore its lane, so the +1 lands on the lane's clock.
 func (r *Runner) onTxReleased(dom *domainState, tx *tm.Tx) {
 	for _, ctx := range dom.stallWaiters[tx] {
 		if ctx.state != stLineStall || ctx.holder != tx {
@@ -1596,27 +1527,23 @@ func (r *Runner) finishAbort(ctx *threadCtx) {
 	ctx.lane.eng.AfterHandle(ab.Overhead+ab.Backoff, ctx.hPostAbort)
 }
 
-// liveThreads is the total live-thread count across lanes.
-func (r *Runner) liveThreads() int {
-	n := 0
-	for _, ln := range r.lanes {
-		n += ln.mac.LiveThreads()
-	}
-	return n
-}
-
 // sample records one time-series point and reschedules itself via the
 // cached r.sampleFn closure. Sampling only reads manager and TM state, so
 // it cannot perturb the simulated schedule: a run with metrics enabled
 // takes the same cycle-level path as one without. The sampler only runs
-// in single-domain modes (it reads global manager/TM state), on lane 0's
-// engine.
+// in sequential runs (it reads global manager/TM state).
 func (r *Runner) sample() {
-	if r.liveThreads() == 0 {
-		return
-	}
 	dom := r.doms[0]
 	ln := r.lanes[0]
+	live := ln.mac.LiveThreads()
+	if live == 0 {
+		return
+	}
+	if ln.eng.Pending() == 0 {
+		// The sampler is the last event left: no thread can ever run
+		// again, and rescheduling would spin forever.
+		panicStranded(live)
+	}
 	now := ln.eng.Now()
 	if pr, ok := dom.mgr.(sched.PressureReporter); ok {
 		dom.tsPressure.Append(now, pr.MeanPressure())
@@ -1646,13 +1573,10 @@ func (r *Runner) Run() *Result {
 		r.sampleFn = func() { r.sample() }
 		r.lanes[0].eng.After(interval, r.sampleFn)
 	}
-	switch r.mode {
-	case modeSeq:
-		r.runSequential()
-	case modeEntangled:
-		r.runEntangled()
-	default:
+	if r.mode == modePartitioned {
 		r.runPartitioned()
+	} else {
+		r.runSequential()
 	}
 	return r.buildResult()
 }
@@ -1660,7 +1584,6 @@ func (r *Runner) Run() *Result {
 // runSequential is the classic single-lane driver.
 func (r *Runner) runSequential() {
 	ln := r.lanes[0]
-	r.active = ln
 	ln.mac.Start()
 	ln.eng.Run(func() bool {
 		if r.cfg.MaxCycles > 0 && ln.eng.Now() > r.cfg.MaxCycles {
@@ -1669,6 +1592,18 @@ func (r *Runner) runSequential() {
 		}
 		return ln.mac.LiveThreads() == 0
 	})
+	if live := ln.mac.LiveThreads(); live > 0 && !ln.timedOut {
+		panicStranded(live)
+	}
+}
+
+// panicStranded fails a run whose event heap drained while threads were
+// still live: nothing can ever wake them, so returning would report a
+// finished run with work left undone. Like scheduling an event in the
+// past, this is a simulator or manager bug (a lost wakeup), never a
+// workload outcome.
+func panicStranded(live int) {
+	panic(fmt.Sprintf("sim: event heap drained with %d live threads", live))
 }
 
 // buildResult finalizes makespan/idle accounting and assembles the Result,

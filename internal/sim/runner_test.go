@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/metrics"
 	"repro/internal/sched"
+	"repro/internal/stamp"
 	"repro/internal/workload"
 )
 
@@ -338,6 +341,74 @@ func TestATSBlockWakeUnderRunner(t *testing.T) {
 	}
 	if res.Breakdown[CatKernel] == 0 {
 		t.Fatal("ATS serialization produced no kernel time")
+	}
+}
+
+// TestATSWakeBeforeBlockCells replays the two STAMP cells where the ATS
+// token holder committed and woke a queued thread while that thread was
+// still paying its begin overhead, before its ThreadBlock. The wake used
+// to be dropped as spurious, stranding the new token owner and every
+// thread queued behind it: kmeans committed 194 of 2000 transactions,
+// delaunay 1499 of 1500, and both runs ended looking finished.
+func TestATSWakeBeforeBlockCells(t *testing.T) {
+	for _, c := range []struct {
+		bench string
+		seed  uint64
+		txs   int // the Figure 4a cell at scale 0.1
+	}{{"kmeans", 11, 2000}, {"delaunay", 39, 1500}} {
+		f, ok := stamp.ByName(c.bench)
+		if !ok {
+			t.Fatalf("no STAMP benchmark %q", c.bench)
+		}
+		res := NewRunner(RunConfig{
+			Cores:          16,
+			ThreadsPerCore: 4,
+			Seed:           c.seed,
+			Workload:       f.New(c.txs),
+			NewManager:     managerFactory("ats"),
+			MaxCycles:      100_000_000_000,
+		}).Run()
+		if res.TimedOut || res.Commits != int64(c.txs) {
+			t.Errorf("%s/ATS seed %d: committed %d of %d (timed out: %v)",
+				c.bench, c.seed, res.Commits, c.txs, res.TimedOut)
+		}
+	}
+}
+
+// neverWake parks every begin on a queue nobody drains: a manager with a
+// lost wakeup, reduced to its essence.
+type neverWake struct{ sched.Manager }
+
+func (neverWake) OnBegin(tid, stx int) sched.BeginResult {
+	return sched.BeginResult{Action: sched.Block}
+}
+
+// TestStrandedThreadsPanic pins the drained-heap guard: when every event
+// has fired but threads are still parked, the run must fail loudly — with
+// metrics on too, where the sampler would otherwise keep the heap alive —
+// instead of returning a Result that looks finished.
+func TestStrandedThreadsPanic(t *testing.T) {
+	for _, withMetrics := range []bool{false, true} {
+		cfg := RunConfig{
+			Cores: 2, ThreadsPerCore: 2, Seed: 1,
+			Workload: newSynth("stranded", 1, 3, 2),
+			NewManager: func(env sched.Env) sched.Manager {
+				return neverWake{sched.NewBackoff(env)}
+			},
+			MaxCycles: 2_000_000_000,
+		}
+		if withMetrics {
+			cfg.Metrics = metrics.New()
+		}
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "event heap drained with 4 live threads") {
+					t.Errorf("metrics=%v: recovered %q, want the drained-heap panic", withMetrics, msg)
+				}
+			}()
+			NewRunner(cfg).Run()
+		}()
 	}
 }
 

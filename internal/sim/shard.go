@@ -3,43 +3,31 @@ package sim
 // Sharded execution: one simulation split into per-shard lanes under the
 // conservative-PDES (Chandy-Misra-Bryant style) protocol.
 //
-// Two modes implement RunConfig.Shards > 1:
+// RunConfig.Shards > 1 takes this path when the workload declares a
+// shard partition (workload.Sharder) and the manager is shard-safe
+// (sched.ShardSafe); any other configuration runs sequentially. Each lane
+// gets its own event heap, machine slice and conflict-detection domain
+// (line directory, manager, waiter queues, accumulators) and free-runs on
+// its own goroutine. Lanes synchronize through a ShardBarrier: each
+// publishes the time of its next pending event (its PeekTime horizon —
+// the conservative null message) and may execute an event at time t only
+// while t does not exceed the minimum of the other lanes' published
+// horizons by more than the lookahead window. The minimum lane can always
+// proceed, so the protocol is deadlock-free; horizons are monotone, so
+// each lane caches the last minimum it read and only re-reads the barrier
+// when its next event would outrun the cache — the hot path is one
+// comparison, no atomics.
 //
-//   - Entangled lanes. Every lane gets its own event heap and machine
-//     slice, but all heaps share one clock and one sequence counter
-//     (Engine.NewLaneEngine), and a single driver goroutine repeatedly
-//     executes the globally minimal (time, seq) event across the heaps
-//     (Engine.PeekKey). Because (time, seq) is a total order and seq values
-//     are stamped from the shared counter in push order, the pop sequence
-//     is *exactly* the one a single merged heap would produce — the run is
-//     byte-identical to the sequential one by construction, for any
-//     workload, manager, tracer or decision recorder. This is the mode
-//     behind the blanket "-shards N output ≡ -shards 1" contract.
-//
-//   - Partitioned lanes. When the workload declares a shard partition
-//     (workload.Sharder) and the manager is shard-safe (sched.ShardSafe),
-//     each lane additionally gets its own conflict-detection domain (line
-//     directory, manager, waiter queues, accumulators) and free-runs on its
-//     own goroutine. Lanes synchronize through a ShardBarrier: each
-//     publishes the time of its next pending event (its PeekTime horizon —
-//     the conservative null message) and may execute an event at time t
-//     only while t does not exceed the minimum of the other lanes'
-//     published horizons by more than the lookahead window. The minimum
-//     lane can always proceed, so the protocol is deadlock-free; horizons
-//     are monotone, so each lane caches the last minimum it read and only
-//     re-reads the barrier when its next event would outrun the cache —
-//     the hot path is one comparison, no atomics.
-//
-//     Cross-shard reads of the workload's shared region become timestamped
-//     probe messages on single-producer/single-consumer rings, drained and
-//     validated deterministically (sorted by (time, tid)) against the
-//     owning shard's line directory at horizon boundaries. The partition
-//     contract (shard-private data never crosses lanes, the shared region
-//     is read-only) makes every probe conflict-free, which is what lets
-//     the lanes' event streams stay exactly equal to the sequential run's
-//     lane-restricted subsequences — and therefore lets the merged result
-//     stay identical (integer-exact everywhere; see
-//     Result.AttemptsPerCommit for the one float-summary caveat).
+// Cross-shard reads of the workload's shared region become timestamped
+// probe messages on single-producer/single-consumer rings, drained and
+// validated deterministically (sorted by (time, tid)) against the owning
+// shard's line directory at horizon boundaries. The partition contract
+// (shard-private data never crosses lanes, the shared region is
+// read-only) makes every probe conflict-free, which is what lets the
+// lanes' event streams stay exactly equal to the sequential run's
+// lane-restricted subsequences — and therefore lets the merged result
+// stay identical (integer-exact everywhere; see Result.AttemptsPerCommit
+// for the one float-summary caveat).
 
 import (
 	"fmt"
@@ -205,8 +193,8 @@ type stallPoint struct {
 }
 
 // laneShard is a lane's partitioned-mode coupling: its barrier slot, its
-// probe rings, and the shard-layer instrumentation. Sequential and
-// entangled lanes have none (laneState.shard == nil).
+// probe rings, and the shard-layer instrumentation. A sequential run's
+// single lane has none (laneState.shard == nil).
 type laneShard struct {
 	idx        int
 	bar        *ShardBarrier
@@ -380,8 +368,7 @@ func (sh *laneShard) inboundEmpty() bool {
 // state, no draws from the shared Env.Rand), cores must split evenly, and
 // the global observers whose output depends on cross-lane interleaving
 // (trace, decision records, similarity profiling, FlipBegin's global begin
-// numbering) must be off. Everything else falls back to entangled lanes,
-// which support all of it byte-identically.
+// numbering) must be off. Everything else runs sequentially.
 func (r *Runner) partitionable() bool {
 	cfg := &r.cfg
 	if cfg.Trace != nil || cfg.Decisions != nil || cfg.ProfileSimilarity || cfg.FlipBegin != 0 {
@@ -458,43 +445,6 @@ func (r *Runner) setupShards() {
 	}
 }
 
-// runEntangled is the shared-clock driver: all lanes' machines start (in
-// lane order, so initial dispatches stamp the same sequence numbers the
-// sequential run would), then the globally minimal (time, seq) event is
-// executed until every thread has exited.
-func (r *Runner) runEntangled() {
-	for _, ln := range r.lanes {
-		r.active = ln
-		ln.mac.Start()
-	}
-	for {
-		var best *laneState
-		var bt int64
-		var bs uint64
-		for _, ln := range r.lanes {
-			t, s, ok := ln.eng.PeekKey()
-			if !ok {
-				continue
-			}
-			if best == nil || t < bt || (t == bt && s < bs) {
-				best, bt, bs = ln, t, s
-			}
-		}
-		if best == nil {
-			return
-		}
-		r.active = best
-		best.eng.Step()
-		if r.cfg.MaxCycles > 0 && r.clock > r.cfg.MaxCycles {
-			best.timedOut = true
-			return
-		}
-		if r.liveThreads() == 0 {
-			return
-		}
-	}
-}
-
 // runPartitioned starts one goroutine per lane and waits for all of them.
 func (r *Runner) runPartitioned() {
 	var wg sync.WaitGroup
@@ -511,15 +461,16 @@ func (r *Runner) runPartitioned() {
 // laneLoop is one partitioned lane's event loop: publish the next event's
 // time, wait for the horizon to cover it, fire it, and periodically drain
 // inbound probes. It mirrors the sequential driver's stop conditions
-// (heap empty, all lane threads exited, MaxCycles exceeded) per lane.
+// (all lane threads exited, MaxCycles exceeded, and the same panic on a
+// drained heap with live threads) per lane.
 func (r *Runner) laneLoop(ln *laneState) {
 	sh := ln.shard
 	ln.mac.Start()
 	sinceDrain := 0
 	for {
-		t, _, ok := ln.eng.PeekKey()
-		if !ok {
-			break
+		t := ln.eng.PeekTime()
+		if t == NoPending {
+			panicStranded(ln.mac.LiveThreads())
 		}
 		if t-sh.lookahead > sh.cachedMin {
 			sh.waitHorizon(t)

@@ -29,14 +29,26 @@ func runWithShards(t *testing.T, cfg RunConfig) (*Result, runMode) {
 	return res, mode
 }
 
-// TestEntangledShardedMatchesSequential is the sharding differential for the
-// entangled shared-clock mode: over a randomized matrix of workload shapes,
-// managers, machine sizes, shard counts and seeds, the sharded run must
-// produce a Result deeply equal to the sequential run — makespan, counts,
-// breakdown, conflict matrix, latency histograms, attempt summaries, and the
-// full metrics snapshot (including the time-series sampler). Synthetic
-// workloads do not implement workload.Sharder, so Shards > 1 always takes
-// the entangled path here.
+// wideCfg is the canonical partitioned configuration: the wide workload
+// (which implements workload.Sharder) under the shard-safe per-thread
+// backoff manager.
+func wideCfg(cores, tpc, txs, shards int) RunConfig {
+	return RunConfig{
+		Cores:          cores,
+		ThreadsPerCore: tpc,
+		Seed:           11,
+		Workload:       workload.NewWide(cores, tpc, txs),
+		NewManager:     func(env sched.Env) sched.Manager { return sched.NewPerThreadBackoff(env) },
+		MaxCycles:      2_000_000_000,
+		Shards:         shards,
+	}
+}
+
+// TestEntangledShardedMatchesSequential is the randomized differential for
+// configurations the partitioner cannot split (a synthetic workload that is
+// not a workload.Sharder, under every manager): Shards>1 must take the
+// sequential path and return the identical Result, metrics snapshot
+// included.
 func TestEntangledShardedMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	managers := allManagers()
@@ -81,8 +93,8 @@ func TestEntangledShardedMatchesSequential(t *testing.T) {
 		if seqMode != modeSeq {
 			t.Fatalf("%s: sequential run took mode %d", name, seqMode)
 		}
-		if wantEnt := shards >= 2 && cores >= 2; wantEnt && shdMode != modeEntangled {
-			t.Fatalf("%s: sharded run took mode %d, want entangled", name, shdMode)
+		if shdMode != modeSeq {
+			t.Fatalf("%s: sharded run took mode %d, want sequential fallback", name, shdMode)
 		}
 		if !reflect.DeepEqual(seq, shd) {
 			t.Errorf("%s: sharded Result differs\n seq:   makespan=%d commits=%d aborts=%d breakdown=%v\n shard: makespan=%d commits=%d aborts=%d breakdown=%v",
@@ -90,48 +102,6 @@ func TestEntangledShardedMatchesSequential(t *testing.T) {
 				seq.Makespan, seq.Commits, seq.Aborts, seq.Breakdown,
 				shd.Makespan, shd.Commits, shd.Aborts, shd.Breakdown)
 		}
-	}
-}
-
-// TestEntangledManyCores pins the entangled differential at a many-core
-// geometry (one lane per few cores) where lane heaps are nearly empty and
-// horizon batching does most of the work.
-func TestEntangledManyCores(t *testing.T) {
-	w := newSynth("shard-manycore", 2, 3, 4)
-	w.pick = func(tid, i int, rng *workload.RNG) int { return rng.Intn(512) }
-	w.stxOf = func(tid, i int) int { return i % 2 }
-	run := func(shards int) *Result {
-		res, _ := runWithShards(t, RunConfig{
-			Cores:          128,
-			ThreadsPerCore: 2,
-			Seed:           7,
-			Workload:       w,
-			NewManager:     managerFactory("bfgts-hw"),
-			MaxCycles:      2_000_000_000,
-			Shards:         shards,
-		})
-		return res
-	}
-	seq := run(1)
-	for _, shards := range []int{4, 16, 64} {
-		if shd := run(shards); !reflect.DeepEqual(seq, shd) {
-			t.Errorf("shards=%d diverged: makespan %d vs %d", shards, seq.Makespan, shd.Makespan)
-		}
-	}
-}
-
-// wideCfg is the canonical partitioned configuration: the wide workload
-// (which implements workload.Sharder) under the shard-safe per-thread
-// backoff manager.
-func wideCfg(cores, tpc, txs, shards int) RunConfig {
-	return RunConfig{
-		Cores:          cores,
-		ThreadsPerCore: tpc,
-		Seed:           11,
-		Workload:       workload.NewWide(cores, tpc, txs),
-		NewManager:     func(env sched.Env) sched.Manager { return sched.NewPerThreadBackoff(env) },
-		MaxCycles:      2_000_000_000,
-		Shards:         shards,
 	}
 }
 
@@ -213,43 +183,55 @@ func TestPartitionedShardMetrics(t *testing.T) {
 // TestPartitionedFallbacks pins every eligibility edge of the partitioned
 // path: a non-shard-safe manager, a non-Sharder workload, a core count the
 // shard count does not divide, a partition the workload refuses (odd
-// cores-per-shard splits a wide pair), and a decision recorder all fall back
-// to the entangled mode.
+// cores-per-shard splits a wide pair), and a global observer each make a
+// Shards > 1 run fall back to the sequential run loop — and the fallback
+// must return exactly the Result of the Shards == 1 run, metrics snapshot
+// included.
 func TestPartitionedFallbacks(t *testing.T) {
 	base := wideCfg(16, 2, 200, 4)
 
 	backoff := base
 	backoff.NewManager = managerFactory("backoff")
-	if r := NewRunner(backoff); r.mode != modeEntangled {
-		t.Errorf("shared-rand Backoff: mode %d, want entangled", r.mode)
-	}
+	backoff.Metrics = metrics.New()
 
 	synth := base
 	synth.Workload = newSynth("notsharder", 1, 5, 3)
-	if r := NewRunner(synth); r.mode != modeEntangled {
-		t.Errorf("non-Sharder workload: mode %d, want entangled", r.mode)
-	}
 
-	uneven := wideCfg(16, 2, 200, 5) // 16 % 5 != 0
-	if r := NewRunner(uneven); r.mode != modeEntangled {
-		t.Errorf("uneven core split: mode %d, want entangled", r.mode)
+	// Global observers force the sequential path even when the partition
+	// is valid; their output depends on the cross-lane interleaving.
+	profiled := base
+	profiled.ProfileSimilarity = true
+
+	cases := []struct {
+		name string
+		cfg  RunConfig
+	}{
+		{"shared-rand Backoff", backoff},
+		{"non-Sharder workload", synth},
+		{"uneven core split", wideCfg(16, 2, 200, 5)},  // 16 % 5 != 0
+		{"odd cores-per-shard", wideCfg(9, 2, 200, 3)}, // 3 cores per shard splits pair (2,3)
+		{"similarity profiling", profiled},
+	}
+	for _, c := range cases {
+		shd, mode := runWithShards(t, c.cfg)
+		if mode != modeSeq {
+			t.Errorf("%s: mode %d, want sequential", c.name, mode)
+			continue
+		}
+		seqCfg := c.cfg
+		seqCfg.Shards = 1
+		if c.cfg.Metrics != nil {
+			seqCfg.Metrics = metrics.New()
+		}
+		if seq, _ := runWithShards(t, seqCfg); !reflect.DeepEqual(seq, shd) {
+			t.Errorf("%s: fallback Result differs: makespan %d vs %d, commits %d vs %d",
+				c.name, seq.Makespan, shd.Makespan, seq.Commits, shd.Commits)
+		}
 	}
 
 	evenSplit := wideCfg(8, 2, 200, 2) // 4 cores per shard: pairs stay whole
 	if r := NewRunner(evenSplit); r.mode != modePartitioned {
 		t.Errorf("even pair split: mode %d, want partitioned", r.mode)
-	}
-	oddPerShard := wideCfg(9, 2, 200, 3) // 3 cores per shard splits pair (2,3)
-	if r := NewRunner(oddPerShard); r.mode != modeEntangled {
-		t.Errorf("odd cores-per-shard: mode %d, want entangled", r.mode)
-	}
-
-	// Global observers force the entangled path even when the partition is
-	// valid; their output depends on the cross-lane interleaving.
-	profiled := base
-	profiled.ProfileSimilarity = true
-	if r := NewRunner(profiled); r.mode != modeEntangled {
-		t.Errorf("similarity profiling: mode %d, want entangled", r.mode)
 	}
 }
 
@@ -343,7 +325,7 @@ func TestPartitionedRaceStress(t *testing.T) {
 
 // TestShardHotPathAllocFree is the runtime allocation gate for the shard
 // hot paths (ring push/pop, barrier publish/min, probe send/drain/validate,
-// horizon wait, engine key peek); the //bfgts:allocfree directives on these
+// horizon wait, engine peek); the //bfgts:allocfree directives on these
 // functions are cross-checked by TestAllocFreeMarkersMatchRuntimeGates.
 func TestShardHotPathAllocFree(t *testing.T) {
 	ring := newShardRing()
@@ -400,8 +382,8 @@ func TestShardHotPathAllocFree(t *testing.T) {
 	eng := NewEngine()
 	eng.At(1<<40, func() {})
 	if a := testing.AllocsPerRun(1000, func() {
-		_, _, _ = eng.PeekKey()
+		_ = eng.PeekTime()
 	}); a != 0 {
-		t.Errorf("PeekKey allocates %v/op", a)
+		t.Errorf("PeekTime allocates %v/op", a)
 	}
 }

@@ -65,22 +65,12 @@ func (s *System) SnapshotMetrics(reg *metrics.Registry) {
 		incs, decs := m.conf.Updates()
 		reg.Counter("stm.conf_incs").Add(incs)
 		reg.Counter("stm.conf_decs").Add(decs)
-		// Per-worker begin-probe histograms, merged here because the
-		// Registry is not concurrency-safe. probe_len counts candidates
-		// visited per begin prediction under the Bloofi directory (or
-		// entries scanned, under LinearPredict); probe_nodes and
-		// probe_running exist only in directory mode.
-		lenH := reg.Histogram("stm.predict.probe_len").Stats()
-		nodeH := reg.Histogram("stm.predict.probe_nodes").Stats()
-		runH := reg.Histogram("stm.predict.probe_running").Stats()
-		if lenH != nil { // nil Registry: instruments (and Stats) are nil
-			for w := range m.probes {
-				wp := &m.probes[w]
-				lenH.Merge(&wp.lenHist)
-				if m.dir != nil {
-					nodeH.Merge(&wp.nodeHist)
-					runH.Merge(&wp.runHist)
-				}
+		// Per-worker begin-scan histograms, merged here because the
+		// Registry is not concurrency-safe: running entries visited per
+		// begin prediction.
+		if lenH := reg.Histogram("stm.predict.probe_len").Stats(); lenH != nil { // nil Registry: nil Stats
+			for w := range m.scanLen {
+				lenH.Merge(&m.scanLen[w])
 			}
 		}
 	}

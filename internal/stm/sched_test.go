@@ -27,8 +27,7 @@ func TestBFGTSBeginEscapeWatchdog(t *testing.T) {
 	m.conf.Add(0, 0, 1.0)
 	m.stats[0].simBits.Store(math.Float64bits(1))
 	m.stats[1].simBits.Store(math.Float64bits(1))
-	// Through setRunning so the manager's Bloofi directory indexes the
-	// parked enemy, exactly as a live transaction would.
+	// Through setRunning, exactly as a live transaction would.
 	sys.setRunning(1, 1)
 
 	done := make(chan struct{})

@@ -70,13 +70,6 @@ type Config struct {
 	// contention manager bound to the System under construction.
 	NewManager func(*System) ContentionManager
 
-	// LinearPredict disables the BFGTS manager's Bloofi directory and
-	// restores the literal linear walk of the running array at begin
-	// time. The directory is a best-effort index re-verified against the
-	// authoritative running/confidence state, so this is an escape hatch
-	// and differential-test oracle, not a semantic knob.
-	LinearPredict bool
-
 	// Decisions, if non-nil, receives one record per scheduling decision
 	// (each Atomic attempt's proceed, each BFGTS spin/yield suspension)
 	// into the per-worker shards; it must have at least Workers shards.
@@ -103,11 +96,7 @@ type System struct {
 	workers []workerState
 
 	mgr ContentionManager
-	// runObs is mgr when it observes running-slot transitions (the BFGTS
-	// Bloofi directory), else nil. Kept as a dedicated field so the hot
-	// path pays one nil check instead of a type assertion per store.
-	runObs runningObserver
-	met    stmMetrics
+	met stmMetrics
 
 	// epoch is the Record.Time zero of the decision trace.
 	epoch time.Time
@@ -150,31 +139,15 @@ func NewSystem(cfg Config) *System {
 	default:
 		s.mgr = &backoffManager{sys: s}
 	}
-	s.runObs, _ = s.mgr.(runningObserver)
 	return s
 }
 
-// runningObserver is an optional ContentionManager extension notified
-// after every running-slot transition, from the goroutine owning the
-// worker slot. The BFGTS manager uses it to mirror the running array
-// into its Bloofi directory; the notification must be cheap and must
-// tolerate redundant clears (the deferred cleanup in Atomic re-clears an
-// already cleared slot).
-type runningObserver interface {
-	onRunning(worker, dtx int)
-}
-
 // setRunning publishes the dTxID executing on a worker slot (or
-// core.NoTx) and forwards the transition to the manager's observer. All
-// mutations of the running array flow through here so any index the
-// manager keeps over it can never go stale.
+// core.NoTx) to the CPU table the BFGTS begin-time scan walks.
 //
 //bfgts:allocfree
 func (s *System) setRunning(worker, dtx int) {
 	s.running[worker].Store(int64(dtx))
-	if s.runObs != nil {
-		s.runObs.onRunning(worker, dtx)
-	}
 }
 
 // Manager returns the System's contention manager.

@@ -23,17 +23,13 @@ go build ./...
 # See internal/analysis/README.md for the contracts and //bfgts: directives.
 go build -o "$workdir/bfgtsvet" ./cmd/bfgtsvet
 go vet -vettool="$workdir/bfgtsvet" ./...
-# Concurrency lane: the partitioned-shard differentials and the AtomicTree
-# stress tests under the race detector — short mode, fresh run (-count=1 so
-# the cache never absorbs a flake), and a hard timeout, so a protocol
-# regression surfaces here in seconds even when the full suite below is
-# trimmed with -short.
+# Concurrency lane: the partitioned-shard differentials under the race
+# detector — short mode, fresh run (-count=1 so the cache never absorbs a
+# flake), and a hard timeout, so a protocol regression surfaces here in
+# seconds even when the full suite below is trimmed with -short.
 go test -race -short -count=1 -timeout 300s \
-	-run 'TestEntangledShardedMatchesSequential|TestPartitionedWideMatchesSequential|TestPartitionedRaceStress|TestShardBarrierRace|TestShardRingSPSC' \
+	-run 'TestPartitionedWideMatchesSequential|TestPartitionedFallbacks|TestPartitionedRaceStress|TestShardBarrierRace|TestShardRingSPSC' \
 	./internal/sim/
-go test -race -short -count=1 -timeout 300s \
-	-run 'TestAtomicTreeMatchesTree|TestAtomicTreeRepairNoStaleBits|TestAtomicTreeConcurrentStress' \
-	./internal/bloofi/
 go test -race "$@" ./...
 # Machine-readable output round trip: generate a small export and parse it
 # back through the schema.
@@ -47,14 +43,18 @@ go run ./scripts/jsonverify "$tmp"
 bloofitmp="$workdir/export-linear.json"
 go run ./cmd/bfgts-sim -exp speedup -seed 1 -scale 0.02 -quiet -no-bloofi -json-out "$bloofitmp" >/dev/null
 cmp "$tmp" "$bloofitmp"
-# Sharding differential gate: the same experiment cell split across 4
-# engine shards must also be byte-identical — sharding is a host-side
-# execution strategy, never a result change. The randomized in-process
-# differentials are TestEntangledShardedMatchesSequential and
-# TestPartitionedWideMatchesSequential; this catches CLI-level drift.
-shardtmp="$workdir/export-sharded.json"
-go run ./cmd/bfgts-sim -exp speedup -seed 1 -scale 0.02 -quiet -shards 4 -json-out "$shardtmp" >/dev/null
-cmp "$tmp" "$shardtmp"
+# Sharding differential gate: the wide experiment split across 4 shards
+# must be byte-identical to the unsharded run — sharding is a host-side
+# execution strategy, never a result change. Its Backoff-PT cell really
+# partitions (the stamp experiments never do: they run sequentially at
+# any shard count). The in-process differentials are
+# TestPartitionedWideMatchesSequential and TestPartitionedFallbacks; this
+# catches CLI-level drift.
+widetmp="$workdir/export-wide.json"
+shardtmp="$workdir/export-wide-sharded.json"
+go run ./cmd/bfgts-sim -exp wide -seed 1 -scale 0.02 -quiet -json-out "$widetmp" >/dev/null
+go run ./cmd/bfgts-sim -exp wide -seed 1 -scale 0.02 -quiet -shards 4 -json-out "$shardtmp" >/dev/null
+cmp "$widetmp" "$shardtmp"
 # STM smoke: a tiny stmbench sweep must run all three contention managers
 # and emit an export that passes the same schema gate.
 stmtmp="$workdir/stm.json"
@@ -72,9 +72,13 @@ go run ./scripts/jsonverify "$chrometmp"
 # Bench smoke: compile and run each hot-path microbenchmark once. The
 # paired Test*AllocFree tests already gate the 0 allocs/op contract; this
 # catches benchmarks that rot until release time.
-go test -run=NONE -bench='BenchmarkTxLifecycle|BenchmarkEngineChurn|BenchmarkEq3Estimate|BenchmarkSTMContended$|BenchmarkTreeProbe|BenchmarkAtomicTreeProbe|BenchmarkBFGTSPredict' \
+go test -run=NONE -bench='BenchmarkTxLifecycle|BenchmarkEngineChurn|BenchmarkEq3Estimate|BenchmarkSTMContended$|BenchmarkTreeProbe|BenchmarkBFGTSPredict' \
 	-benchtime=1x ./internal/tm/ ./internal/sim/ ./internal/bloom/ ./internal/stm/ ./internal/bloofi/ ./internal/sched/ >/dev/null
 go test -run=NONE -bench='BenchmarkWideSharded' -benchtime=1x . >/dev/null
+# Repository benchmark self-test: every perfbench workload at tiny size in
+# both plain and traced modes, so an API change that breaks the benchmark
+# fails here instead of at benchmark time.
+(cd perfbench && go test -count=1 .)
 # Fig4a wall-clock gate: the end-to-end figure run must stay within 15% of
 # the committed baseline, so batching-path regressions fail here instead of
 # rotting. The baseline is machine-specific — on other hardware either
